@@ -15,11 +15,9 @@ BENCH_SET = BenchmarkMatMul16x144x64$$|BenchmarkConv2DForward$$|BenchmarkConv2DB
 # the end-to-end pipeline, all with workers pinned to 1 by their fixture.
 DEFENSE_BENCH_SET = BenchmarkPruneSweep$$|BenchmarkAWSweep$$|BenchmarkDefendPipeline$$
 
-# The numeric-backend benchmarks joined against the PR-7 baseline capture
-# (taken before the cache-blocked tiles, float64 only; the Float32 names in
-# the baseline carry the float64 numbers, so their time_ratio reads the
-# cross-precision speedup directly).
-BACKEND_BENCH_SET = ^BenchmarkMatMulInto$$|^BenchmarkTrainStep$$|BenchmarkTrainStepFloat32$$|BenchmarkFLRound16ClientsSerial$$|BenchmarkFLRound16ClientsSerialFloat32$$
+# The cache-blocked-tile benchmarks joined against the PR-7 baseline
+# capture (taken before the tiles).
+BACKEND_BENCH_SET = ^BenchmarkMatMulInto$$|^BenchmarkTrainStep$$|BenchmarkFLRound16ClientsSerial$$
 
 # The report wire set (ISSUE 8): encoded bytes and encode+decode cost of
 # one rank+vote defense report per wire mode at a 512-unit layer.
@@ -42,7 +40,7 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/nn
 
-## bench-json: measure the hot-path, defense-loop, numeric-backend and
+## bench-json: measure the hot-path, defense-loop, tiled-kernel and
 ## report-wire benchmark sets and write BENCH_2.json / BENCH_3.json /
 ## BENCH_7.json / BENCH_8.json, joining the committed pre-optimization
 ## baselines (bench_baseline_pr2.txt / _pr3.txt / _pr7.txt / _pr8.txt) so

@@ -127,19 +127,15 @@ func BenchmarkFig10(b *testing.B) {
 }
 
 // benchFLRound measures one federated round over a 16-client cohort with
-// the worker count pinned (0 = automatic) and the clients' local training
-// on the given numeric backend: the serial-vs-parallel comparison for
-// concurrent per-client local training, and the float64-vs-float32
-// comparison for the local-training arithmetic (aggregation itself is
-// float64 on either backend).
-func benchFLRound(b *testing.B, workers int, backend nn.Backend) {
+// the worker count pinned (0 = automatic): the serial-vs-parallel
+// comparison for concurrent per-client local training.
+func benchFLRound(b *testing.B, workers int) {
 	prev := parallel.SetWorkers(workers)
 	defer parallel.SetWorkers(prev)
 	const clients = 16
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 120, TestPerClass: 10, Seed: 31})
 	rng := rand.New(rand.NewSource(32))
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
-	template.SetBackend(backend)
 	shards := dataset.PartitionKLabel(train, clients, 3, 60, rng)
 	cfg := fl.Config{Rounds: 1, LocalEpochs: 1, BatchSize: 20, LR: 0.05}
 	parts := make([]fl.Participant, clients)
@@ -154,13 +150,8 @@ func benchFLRound(b *testing.B, workers int, backend nn.Backend) {
 	}
 }
 
-func BenchmarkFLRound16ClientsSerial(b *testing.B)   { benchFLRound(b, 1, nn.Float64) }
-func BenchmarkFLRound16ClientsParallel(b *testing.B) { benchFLRound(b, 0, nn.Float64) }
-
-// BenchmarkFLRound16ClientsSerialFloat32 is the PR-7 headline: the same
-// round with every client training on the float32 backend. BENCH_7.json
-// compares it against the float64 baseline in bench_baseline_pr7.txt.
-func BenchmarkFLRound16ClientsSerialFloat32(b *testing.B) { benchFLRound(b, 1, nn.Float32) }
+func BenchmarkFLRound16ClientsSerial(b *testing.B)   { benchFLRound(b, 1) }
+func BenchmarkFLRound16ClientsParallel(b *testing.B) { benchFLRound(b, 0) }
 
 // defenseBench is the shared fixture of the defense-loop benchmarks: an
 // (untrained) SmallCNN, the server's validation slice, the attack's test

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/eval"
-	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/profiling"
@@ -28,7 +27,6 @@ func main() {
 	expFlag := flag.String("exp", "all", "experiment id: table1..table7, fig3, fig5..fig10, ablation-mask, ablation-rate, ablation-aw, adaptive, or all")
 	full := flag.Bool("full", false, "run the paper's full sweeps instead of the reduced defaults")
 	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
-	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic in every experiment: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	metricsJSON := flag.String("metrics-json", "", "write the final obs metrics snapshot as a JSON object to this file (join into the benchmark document via benchjson -extra)")
 	prof := profiling.AddFlags()
 	logf := obs.AddLogFlags()
@@ -41,12 +39,6 @@ func main() {
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
-	backend, err := nn.ParseBackend(*backendFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	eval.SetDefaultBackend(backend)
 
 	pairs := eval.QuickPairs()
 	ninePairs := eval.QuickPairs()
@@ -121,13 +113,15 @@ func writeMetrics(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := f.WriteString(`{"metrics":`); err != nil {
-		return err
+	_, err = f.WriteString(`{"metrics":`)
+	if err == nil {
+		err = obs.Default.WriteJSON(f)
 	}
-	if err := obs.Default.WriteJSON(f); err != nil {
-		return err
+	if err == nil {
+		_, err = f.WriteString("}\n")
 	}
-	_, err = f.WriteString("}\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

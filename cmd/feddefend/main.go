@@ -15,7 +15,6 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/eval"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
-	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 )
 
@@ -27,16 +26,10 @@ func main() {
 	method := flag.String("method", "mvp", "pruning method: rap or mvp")
 	voteRate := flag.Float64("rate", 0.5, "MVP pruning rate p")
 	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
-	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (affine-quantized recording; compact wire)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
 	logger, err := logf.Setup(os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	backend, err := nn.ParseBackend(*backendFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -62,7 +55,6 @@ func main() {
 	if *seed != 0 {
 		s.Seed = *seed
 	}
-	s.Backend = backend
 	s.ReportQuant = quant
 
 	logger.Info("defend: training start", "scenario", s.Name, "report_quant", quant.String())

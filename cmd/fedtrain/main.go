@@ -29,16 +29,10 @@ func main() {
 	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	save := flag.String("save", "", "write the trained global model snapshot to this path")
 	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
-	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	prof := profiling.AddFlags()
 	logf := obs.AddLogFlags()
 	flag.Parse()
 	if _, err := logf.Setup(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	backend, err := nn.ParseBackend(*backendFlag)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -71,7 +65,6 @@ func main() {
 	if *seed != 0 {
 		s.Seed = *seed
 	}
-	s.Backend = backend
 
 	t := eval.Build(s)
 	fmt.Printf("scenario %s: %d clients (%d attackers), %d rounds, gamma %.1f\n",
@@ -97,6 +90,9 @@ func saveModel(path, ds string, t *eval.Trained) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return nn.Save(f, builder, in, t.Test.Classes, t.Server.Model)
+	if err := nn.Save(f, builder, in, t.Test.Classes, t.Server.Model); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

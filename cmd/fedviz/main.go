@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"image"
 	"os"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -46,8 +47,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer f.Close()
 
+	var img image.Image
 	switch {
 	case *weights:
 		s := eval.MNISTScenario(9, 2)
@@ -57,11 +58,7 @@ func main() {
 		t := eval.Run(s)
 		li := t.Server.Model.LastConvIndex()
 		conv := t.Server.Model.Layer(li).(*nn.Conv2D)
-		img := viz.Histogram(conv.W.Value.Data, 60, 600, 200)
-		if err := viz.WritePNG(f, img); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		img = viz.Histogram(conv.W.Value.Data, 60, 600, 200)
 	case *triggers:
 		trig := dataset.PixelPattern(*pixels, train.Shape)
 		if *ds == "cifar" {
@@ -75,11 +72,7 @@ func main() {
 				samples = append(samples, train.Samples[idxs[0]])
 			}
 		}
-		img := viz.TriggerComparison(samples, train.Shape, trig)
-		if err := viz.WritePNG(f, img); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		img = viz.TriggerComparison(samples, train.Shape, trig)
 	default:
 		// A grid with one row per class.
 		byLabel := train.ByLabel()
@@ -90,11 +83,15 @@ func main() {
 				samples = append(samples, train.Samples[idxs[i]])
 			}
 		}
-		img := viz.Grid(samples, train.Shape, perRow)
-		if err := viz.WritePNG(f, img); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		img = viz.Grid(samples, train.Shape, perRow)
+	}
+	err = viz.WritePNG(f, img)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
 }

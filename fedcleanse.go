@@ -87,23 +87,7 @@ type (
 	ModelInput = nn.Input
 	// SGD is the local optimizer used by federated clients.
 	SGD = nn.SGD
-	// Backend selects the numeric precision of model arithmetic
-	// (Model.SetBackend); aggregation and checkpoints are float64 either
-	// way. See DESIGN.md §13.
-	Backend = nn.Backend
 )
-
-// Numeric backends and their flag parser.
-const (
-	// Float64 is the canonical reference arithmetic (the default).
-	Float64 = nn.Float64
-	// Float32 runs layer kernels in float32 for roughly halved memory
-	// traffic; converts at the model boundary.
-	Float32 = nn.Float32
-)
-
-// ParseBackend parses a -backend flag spelling ("float64" or "float32").
-var ParseBackend = nn.ParseBackend
 
 // Report precision (DESIGN.md §14). Clients can record defense-report
 // activations as affine-quantized int8 instead of float64; quantization

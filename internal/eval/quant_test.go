@@ -70,8 +70,7 @@ func TestInt8ReportMNISTDefenseParity(t *testing.T) {
 
 	// Defense runs fine-tuning, which advances the participants' RNG
 	// state, so each precision defends its own freshly trained (and, by
-	// seeding, identical) federation — exactly like the float32 backend
-	// parity test.
+	// seeding, identical) federation.
 	defend := func(q metrics.ReportQuant) (ta, aa float64) {
 		s := MNISTScenario(9, 2)
 		s.ReportQuant = q

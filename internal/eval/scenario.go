@@ -48,13 +48,6 @@ type Scenario struct {
 	// layer during training (the paper's §VI-A regularization study).
 	LastConvL2 float64
 
-	// Backend selects the numeric backend for every model derived from the
-	// scenario's template (clients, attackers, defense clones). The zero
-	// value is nn.Float64, the canonical reference arithmetic; nn.Float32
-	// runs layer kernels in float32 while aggregation, optimizer state and
-	// checkpoints stay float64 (DESIGN.md §13).
-	Backend nn.Backend
-
 	// ReportQuant selects the precision every participant records its
 	// activation report at (DESIGN.md §14). The zero value is the float64
 	// reference; metrics.ReportInt8 ranks and votes on affine-quantized
@@ -63,22 +56,6 @@ type Scenario struct {
 
 	// Seed drives every stochastic choice in the scenario.
 	Seed int64
-}
-
-// defaultBackend is the numeric backend stamped onto scenarios returned by
-// the constructors below. Experiment drivers (cmd/fedbench) that build many
-// scenarios through the table/figure helpers set it once from their
-// -backend flag instead of threading the choice through every call.
-var defaultBackend nn.Backend
-
-// SetDefaultBackend sets the numeric backend future scenario constructors
-// stamp onto their Scenario (the zero default is nn.Float64). It returns
-// the previous default. Not safe for concurrent use with scenario
-// construction; call it once at startup.
-func SetDefaultBackend(b nn.Backend) nn.Backend {
-	prev := defaultBackend
-	defaultBackend = b
-	return prev
 }
 
 // MNISTScenario returns the paper's MNIST-scale setting: 10 clients, one
@@ -101,8 +78,7 @@ func MNISTScenario(victim, target int) Scenario {
 			TargetLabel: target,
 			Copies:      2,
 		},
-		Backend: defaultBackend,
-		Seed:    1,
+		Seed: 1,
 	}
 }
 
@@ -138,8 +114,7 @@ func CIFARScenario(victim, target int) Scenario {
 			VictimLabel: victim,
 			TargetLabel: target,
 		},
-		Backend: defaultBackend,
-		Seed:    2,
+		Seed: 2,
 	}
 }
 
@@ -171,9 +146,6 @@ func Components(s Scenario) (template *nn.Sequential, shards []*dataset.Dataset,
 	train, testAll := s.Gen(s.GenCfg)
 	in := nn.Input{C: train.Shape.C, H: train.Shape.H, W: train.Shape.W}
 	template = s.Build(in, train.Classes, rng)
-	// The backend rides on the template: fl.NewClient/NewAttacker and every
-	// defense loop derive their models via Clone, which preserves it.
-	template.SetBackend(s.Backend)
 	if s.LastConvL2 > 0 {
 		li := template.LastConvIndex()
 		if li >= 0 {

@@ -627,14 +627,18 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 		<-ready[i]
 		out := results[i]
 		results[i] = outcome{} // discard: once folded, the delta is dead
-		<-sem                  // client i consumed; admit the next one
 		if out.err != nil {
 			res.noteWireFailure(p.ID(), t, out.err)
+			<-sem // client i consumed; admit the next one
 			continue
 		}
 		res.Completed = append(res.Completed, p.ID())
 		fold.Fold(p.ID(), out.delta)
 		atomic.AddInt64(&inFlight, -1)
+		// Free the slot only once the delta is folded: releasing it
+		// earlier would let window fresh deltas coexist with the one
+		// still being folded.
+		<-sem
 		folds++
 		s.partialCheckpoint(m, res, fold, t, folds, durable, obs.SpanContextFrom(ctx))
 		s.crash(CrashMidCollection, t, folds)

@@ -115,58 +115,3 @@ func TestEvalForwardWarmAllocFree(t *testing.T) {
 		t.Errorf("warm eval forward: %v allocs/op, want 0", allocs)
 	}
 }
-
-// TestFloat32TrainStepWarmAllocFree is the float32-backend twin of the
-// train-step gate: shadow weights, float32 activations and the widened
-// boundary tensors all live in arenas, so a warm step allocates nothing.
-func TestFloat32TrainStepWarmAllocFree(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-
-	rng := rand.New(rand.NewSource(55))
-	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	m.SetBackend(Float32)
-	const batch = 32
-	x := tensor.New(batch, 1, 16, 16)
-	x.Randn(rng, 1)
-	labels := make([]int, batch)
-	for i := range labels {
-		labels[i] = rng.Intn(10)
-	}
-	opt := NewSGD(0.05, 0.9, 1e-4)
-	var dlogits *tensor.Tensor
-
-	step := func() {
-		m.ZeroGrads()
-		logits := m.Forward(x, true)
-		if dlogits == nil {
-			dlogits = tensor.New(logits.Dim(0), logits.Dim(1))
-		}
-		SoftmaxXentInto(dlogits, logits, labels)
-		m.Backward(dlogits)
-		opt.Step(m)
-	}
-	step()
-	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-		t.Errorf("warm float32 train step: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestFloat32EvalForwardWarmAllocFree covers the float32 eval path with
-// eval reuse on (the defense loops' configuration).
-func TestFloat32EvalForwardWarmAllocFree(t *testing.T) {
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-
-	rng := rand.New(rand.NewSource(56))
-	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	m.SetBackend(Float32)
-	m.SetEvalReuse(true)
-	x := tensor.New(32, 1, 16, 16)
-	x.Randn(rng, 1)
-
-	m.Forward(x, false)
-	if allocs := testing.AllocsPerRun(10, func() { m.Forward(x, false) }); allocs != 0 {
-		t.Errorf("warm float32 eval forward: %v allocs/op, want 0", allocs)
-	}
-}

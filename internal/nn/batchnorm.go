@@ -40,9 +40,7 @@ type BatchNorm2D struct {
 	// differentiates through a frozen model.
 	frozen bool
 
-	// Caches from the last training forward pass. invStd, n and hw are
-	// shared with the float32 path (the float32 forward also derives its
-	// per-channel statistics in float64, see layers32.go).
+	// Caches from the last training forward pass.
 	xhat       *tensor.Tensor
 	invStd     []float64
 	n          int // batch size of cached pass
@@ -52,10 +50,6 @@ type BatchNorm2D struct {
 	// scratch holds the reusable train-mode output, xhat cache and
 	// backward dx buffers. Not cloned or serialized.
 	scratch tensor.Arena
-
-	// xhat32/scratch32 are the float32-backend equivalents (layers32.go).
-	xhat32    *tensor.T32
-	scratch32 tensor.Arena32
 }
 
 var _ Prunable = (*BatchNorm2D)(nil)

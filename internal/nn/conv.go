@@ -50,17 +50,6 @@ type Conv2D struct {
 	blockRes []*tensor.Tensor
 	blockCol []*tensor.Tensor
 	doutMat  *tensor.Tensor
-
-	// Float32-backend equivalents of the caches above (layers32.go): the
-	// per-sample im2col views, per-block forward scratch, backward dout
-	// header and the arena holding the float32 shadow weights.
-	cols32     []*tensor.T32
-	colsHdr32  []*tensor.T32
-	colsFor32  *tensor.T32
-	scratch32  tensor.Arena32
-	blockRes32 []*tensor.T32
-	blockCol32 []*tensor.T32
-	doutMat32  *tensor.T32
 }
 
 var _ Prunable = (*Conv2D)(nil)

@@ -29,11 +29,6 @@ type Dense struct {
 	// scratch and the returned dx, so a warm step allocates nothing. Not
 	// cloned or serialized.
 	scratch tensor.Arena
-
-	// x32/scratch32 are the float32-backend equivalents of x/scratch
-	// (layers32.go). The float32 shadow weights also live in scratch32.
-	x32       *tensor.T32
-	scratch32 tensor.Arena32
 }
 
 var _ Prunable = (*Dense)(nil)

@@ -504,3 +504,38 @@ func TestLayerIndexByName(t *testing.T) {
 		t.Fatalf("missing layer index = %d, want -1", i)
 	}
 }
+
+// BackwardParams — the training loops' backward — must produce parameter
+// gradients bit-identical to the full Backward; only the never-consumed
+// first-layer input gradient is allowed to differ (by not existing).
+func TestBackwardParamsGradBitIdentity(t *testing.T) {
+	t.Run("float64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		m := NewSmallCNN(in1, 10, rng)
+		m2 := m.Clone()
+		x := tensor.New(8, in1.C, in1.H, in1.W)
+		x.Randn(rng, 1)
+		labels := make([]int, 8)
+		for i := range labels {
+			labels[i] = i % 10
+		}
+
+		m.ZeroGrads()
+		_, d := SoftmaxXent(m.Forward(x, true), labels)
+		m.Backward(d)
+
+		m2.ZeroGrads()
+		_, d2 := SoftmaxXent(m2.Forward(x, true), labels)
+		m2.BackwardParams(d2)
+
+		ps, ps2 := m.Params(), m2.Params()
+		for pi := range ps {
+			for i := range ps[pi].Grad.Data {
+				if math.Float64bits(ps[pi].Grad.Data[i]) != math.Float64bits(ps2[pi].Grad.Data[i]) {
+					t.Fatalf("param %d grad[%d]: %g (Backward) vs %g (BackwardParams)",
+						pi, i, ps[pi].Grad.Data[i], ps2[pi].Grad.Data[i])
+				}
+			}
+		}
+	})
+}

@@ -15,20 +15,9 @@ type Sequential struct {
 	// when the layer slice itself changes (RestoreFrom).
 	params []*Param
 
-	// backend selects the arithmetic precision of forward/backward passes
-	// (backend.go). Clones inherit it; parameters stay float64 either way.
-	backend Backend
-
-	// evalReuse mirrors the layers' eval-reuse state (SetEvalReuse) so the
-	// float32 boundary conversions know whether their widened outputs may
-	// live in the arena or must be fresh.
+	// evalReuse mirrors the layers' eval-reuse state (SetEvalReuse), so
+	// ForwardActivations knows whether its result slice may be reused.
 	evalReuse bool
-
-	// scr32/scr64 hold the model-level precision-boundary staging buffers
-	// of the Float32 backend (input narrowing, output/boundary widening).
-	// Single-goroutine, not cloned or serialized, like layer scratch.
-	scr32 tensor.Arena32
-	scr64 tensor.Arena
 
 	// actsBuf is the reused ForwardActivations result slice under eval
 	// reuse (actsSlice).
@@ -52,9 +41,6 @@ func (m *Sequential) NumLayers() int { return len(m.layers) }
 // Forward runs the network on a batch. train selects whether layers cache
 // state for Backward.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if m.backend == Float32 {
-		return m.forward32(x, train)
-	}
 	for _, l := range m.layers {
 		x = l.Forward(x, train)
 	}
@@ -71,9 +57,6 @@ func (m *Sequential) ForwardTo(hi int, x *tensor.Tensor) *tensor.Tensor {
 	if hi < 0 || hi > len(m.layers) {
 		panic(fmt.Sprintf("nn: ForwardTo boundary %d outside [0,%d]", hi, len(m.layers)))
 	}
-	if m.backend == Float32 {
-		return m.forwardTo32(hi, x)
-	}
 	for _, l := range m.layers[:hi] {
 		x = l.Forward(x, false)
 	}
@@ -87,9 +70,6 @@ func (m *Sequential) ForwardTo(hi int, x *tensor.Tensor) *tensor.Tensor {
 func (m *Sequential) ForwardFrom(li int, x *tensor.Tensor) *tensor.Tensor {
 	if li < 0 || li > len(m.layers) {
 		panic(fmt.Sprintf("nn: ForwardFrom boundary %d outside [0,%d]", li, len(m.layers)))
-	}
-	if m.backend == Float32 {
-		return m.forwardFrom32(li, x)
 	}
 	for _, l := range m.layers[li:] {
 		x = l.Forward(x, false)
@@ -119,15 +99,17 @@ func (m *Sequential) SetEvalReuse(on bool) {
 	}
 }
 
+// EvalReuse reports whether inference outputs are currently routed through
+// reusable scratch buffers (see SetEvalReuse). Callers that flip reuse on
+// for a bounded scope use this to restore the previous state.
+func (m *Sequential) EvalReuse() bool { return m.evalReuse }
+
 // ForwardActivations runs inference and returns the output of every layer.
 // acts[i] is the output of layer i; the final element is the network output.
 // The federated pruning step uses this to record per-neuron activations.
 // With eval reuse on, the returned slice itself is also reused — valid until
 // the next ForwardActivations call, like the tensors it holds.
 func (m *Sequential) ForwardActivations(x *tensor.Tensor) (acts []*tensor.Tensor) {
-	if m.backend == Float32 {
-		return m.forwardActivations32(x)
-	}
 	acts = m.actsSlice()
 	for i, l := range m.layers {
 		x = l.Forward(x, false)
@@ -152,9 +134,6 @@ func (m *Sequential) actsSlice() []*tensor.Tensor {
 // layers in reverse, accumulating parameter gradients, and returns the
 // gradient with respect to the network input.
 func (m *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if m.backend == Float32 {
-		return m.backward32(dout)
-	}
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		dout = m.layers[i].Backward(dout)
 	}
@@ -169,21 +148,12 @@ type paramBackward interface {
 	backwardParams(dout *tensor.Tensor)
 }
 
-// paramBackward32 is the float32-backend twin of paramBackward.
-type paramBackward32 interface {
-	backwardParams32(dout *tensor.T32)
-}
-
 // BackwardParams is Backward for training loops: parameter gradients are
 // bit-identical to Backward's, but the input gradient of the first layer —
 // which SGD never consumes — is skipped when the layer supports it (for a
 // Conv2D first layer that drops a full Wᵀ·dout matmul and Col2Im scatter
 // per sample). Use Backward when the returned input gradient is needed.
 func (m *Sequential) BackwardParams(dout *tensor.Tensor) {
-	if m.backend == Float32 {
-		m.backwardParams32(dout)
-		return
-	}
 	for i := len(m.layers) - 1; i > 0; i-- {
 		dout = m.layers[i].Backward(dout)
 	}
@@ -228,7 +198,7 @@ func (m *Sequential) Clone() *Sequential {
 	for i, l := range m.layers {
 		ls[i] = l.CloneLayer()
 	}
-	return &Sequential{layers: ls, backend: m.backend}
+	return &Sequential{layers: ls}
 }
 
 // ParamsVector flattens all parameter values into a single new slice, in

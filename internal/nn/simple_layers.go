@@ -20,10 +20,6 @@ type ReLU struct {
 	// buffers. Inference passes allocate fresh because callers may retain
 	// the result. Not cloned.
 	scratch tensor.Arena
-
-	// scratch32 is the float32-backend equivalent (layers32.go); the mask
-	// is shared, since only one precision is active per model.
-	scratch32 tensor.Arena32
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -108,9 +104,6 @@ type Flatten struct {
 	// training loop that alternates full and tail batches allocation-free
 	// once both sizes have been seen.
 	hdrs map[int]*flattenHdrs
-
-	// hdrs32 is the float32-backend equivalent (layers32.go).
-	hdrs32 map[int]*flattenHdrs32
 }
 
 // flattenHdrs is one batch size's set of reshape headers (training output,
@@ -225,10 +218,6 @@ type MaxPool2D struct {
 	// scratch holds the reusable train-mode output and backward dx
 	// buffers. Not cloned.
 	scratch tensor.Arena
-
-	// scratch32 is the float32-backend equivalent (layers32.go); inShape
-	// and argmax are shared, since only one precision is active per model.
-	scratch32 tensor.Arena32
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -284,7 +273,7 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // poolWindow is the generic max-pooling walk for an arbitrary square
 // window. argmax is nil on inference passes.
-func poolWindow[E tensor.Elem](x, out []E, argmax []int, nc, h, w, outH, outW, size, stride int) {
+func poolWindow(x, out []float64, argmax []int, nc, h, w, outH, outW, size, stride int) {
 	oi := 0
 	for s := 0; s < nc; s++ {
 		base := s * h * w
@@ -321,7 +310,7 @@ func poolWindow[E tensor.Elem](x, out []E, argmax []int, nc, h, w, outH, outW, s
 // maximum in ky-major/kx-minor order wins; ±0 ties compare equal either
 // way); the value can differ from the select chain only in the sign of a
 // zero. argmax is nil on inference passes.
-func pool2x2[E tensor.Elem](x, out []E, argmax []int, nc, h, w, outH, outW int) {
+func pool2x2(x, out []float64, argmax []int, nc, h, w, outH, outW int) {
 	oi := 0
 	for s := 0; s < nc; s++ {
 		base := s * h * w

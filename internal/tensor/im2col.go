@@ -36,48 +36,26 @@ func (d ConvDims) Validate() error {
 // The unrolled layout pairs with a weight matrix of shape (F, C·K·K): the
 // convolution then becomes a single MatMul producing (F, OutH·OutW).
 func Im2Col(img []float64, d ConvDims, dst []float64) {
-	checkIm2Col(len(img), len(dst), d)
-	im2colKernel(img, d, dst)
-}
-
-// Im2Col32 is the float32 instantiation of Im2Col for the float32 backend;
-// the layout contract is identical.
-func Im2Col32(img []float32, d ConvDims, dst []float32) {
-	checkIm2Col(len(img), len(dst), d)
-	im2colKernel(img, d, dst)
-}
-
-func checkIm2Col(imgLen, dstLen int, d ConvDims) {
 	cols := d.OutH() * d.OutW()
-	if imgLen != d.C*d.H*d.W {
-		panic(fmt.Sprintf("tensor: Im2Col image length %d, want %d", imgLen, d.C*d.H*d.W))
+	if len(img) != d.C*d.H*d.W {
+		panic(fmt.Sprintf("tensor: Im2Col image length %d, want %d", len(img), d.C*d.H*d.W))
 	}
-	if dstLen != d.C*d.K*d.K*cols {
-		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", dstLen, d.C*d.K*d.K*cols))
+	if len(dst) != d.C*d.K*d.K*cols {
+		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), d.C*d.K*d.K*cols))
 	}
+	im2colKernel(img, d, dst)
 }
 
 // Col2Im scatters a (C·K·K)×(OutH·OutW) column-gradient matrix back into a
 // C×H×W image gradient, accumulating overlapping contributions. dst must be
 // zeroed by the caller if fresh accumulation is desired.
 func Col2Im(col []float64, d ConvDims, dst []float64) {
-	checkCol2Im(len(col), len(dst), d)
-	col2imKernel(col, d, dst)
-}
-
-// Col2Im32 is the float32 instantiation of Col2Im for the float32 backend;
-// the accumulation contract is identical.
-func Col2Im32(col []float32, d ConvDims, dst []float32) {
-	checkCol2Im(len(col), len(dst), d)
-	col2imKernel(col, d, dst)
-}
-
-func checkCol2Im(colLen, dstLen int, d ConvDims) {
 	cols := d.OutH() * d.OutW()
-	if dstLen != d.C*d.H*d.W {
-		panic(fmt.Sprintf("tensor: Col2Im dst length %d, want %d", dstLen, d.C*d.H*d.W))
+	if len(dst) != d.C*d.H*d.W {
+		panic(fmt.Sprintf("tensor: Col2Im dst length %d, want %d", len(dst), d.C*d.H*d.W))
 	}
-	if colLen != d.C*d.K*d.K*cols {
-		panic(fmt.Sprintf("tensor: Col2Im col length %d, want %d", colLen, d.C*d.K*d.K*cols))
+	if len(col) != d.C*d.K*d.K*cols {
+		panic(fmt.Sprintf("tensor: Col2Im col length %d, want %d", len(col), d.C*d.K*d.K*cols))
 	}
+	col2imKernel(col, d, dst)
 }

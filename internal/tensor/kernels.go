@@ -28,10 +28,10 @@ package tensor
 // is why serial, parallel and reference results match bit for bit per
 // precision.
 
-// Elem is the set of element types the kernels are instantiated for.
-// float64 is the canonical precision (FL aggregation, checkpoints, the
-// defense's accounting); float32 is the opt-in speed backend (DESIGN.md
-// §13).
+// Elem is the set of element types the kernels are written over. The
+// model computes only in float64; the float32 instantiation exists for the
+// kernel reference and fuzz tests, which keep the generic code ready for a
+// future SIMD strip to be measured in either precision (DESIGN.md §13).
 type Elem interface {
 	~float32 | ~float64
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
 
 // The tiled kernels are only allowed to reorder which output cells are
@@ -117,161 +115,5 @@ func TestTiledMatchesReferenceFloat32(t *testing.T) {
 	for _, s := range kernelShapes {
 		checkKernelsMatchRef[float32](t, rng, s.m, s.k, s.n, false)
 		checkKernelsMatchRef[float32](t, rng, s.m, s.k, s.n, true)
-	}
-}
-
-// TestMatMul32SerialParallelIdentity pins the float32 serial-vs-parallel
-// bit-identity contract at several worker counts, mirroring the float64
-// suite: row blocks run the identical tiled kernel, so worker count must
-// never perturb a single bit.
-func TestMatMul32SerialParallelIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, k, n := 96, 80, 72 // m·k·n ≫ parallelFlopCutoff
-	a := New32(m, k)
-	b := New32(k, n)
-	bt := New32(n, k)
-	at := New32(k, m)
-	for _, s := range [][]float32{a.Data, b.Data, bt.Data, at.Data} {
-		for i := range s {
-			s[i] = float32(rng.NormFloat64())
-		}
-	}
-
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-	wantMM := New32(m, n)
-	wantTB := New32(m, n)
-	wantTA := New32(m, n)
-	MatMulInto32(wantMM, a, b)
-	MatMulTransBInto32(wantTB, a, bt)
-	MatMulTransAInto32(wantTA, at, b)
-
-	for _, workers := range []int{2, 3, 8} {
-		parallel.SetWorkers(workers)
-		got := New32(m, n)
-		MatMulInto32(got, a, b)
-		diffIdx(t, "MatMulInto32", got.Data, wantMM.Data)
-		MatMulTransBInto32(got, a, bt)
-		diffIdx(t, "MatMulTransBInto32", got.Data, wantTB.Data)
-		MatMulTransAInto32(got, at, b)
-		diffIdx(t, "MatMulTransAInto32", got.Data, wantTA.Data)
-	}
-}
-
-// TestIm2Col32MatchesFloat64 checks the float32 im2col/col2im against the
-// float64 path on float32-representable data (conversion is exact, so the
-// results must agree exactly).
-func TestIm2Col32MatchesFloat64(t *testing.T) {
-	d := ConvDims{C: 3, H: 9, W: 7, K: 3, Stride: 2, Pad: 1}
-	rng := rand.New(rand.NewSource(10))
-	img64 := make([]float64, d.C*d.H*d.W)
-	img32 := make([]float32, len(img64))
-	for i := range img64 {
-		v := float32(rng.NormFloat64())
-		img32[i] = v
-		img64[i] = float64(v)
-	}
-	colLen := d.C * d.K * d.K * d.OutH() * d.OutW()
-	col64 := make([]float64, colLen)
-	col32 := make([]float32, colLen)
-	Im2Col(img64, d, col64)
-	Im2Col32(img32, d, col32)
-	for i := range col64 {
-		if float64(col32[i]) != col64[i] {
-			t.Fatalf("im2col cell %d: float32 %v, float64 %v", i, col32[i], col64[i])
-		}
-	}
-
-	back64 := make([]float64, len(img64))
-	back32 := make([]float32, len(img32))
-	Col2Im(col64, d, back64)
-	Col2Im32(col32, d, back32)
-	for i := range back64 {
-		if math.Abs(float64(back32[i])-back64[i]) > 1e-5*(1+math.Abs(back64[i])) {
-			t.Fatalf("col2im cell %d: float32 %v, float64 %v", i, back32[i], back64[i])
-		}
-	}
-}
-
-func TestT32Basics(t *testing.T) {
-	x := New32(2, 3)
-	if x.Rank() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 || x.Len() != 6 {
-		t.Fatalf("New32 shape metadata wrong: %v", x.Shape())
-	}
-	for i := range x.Data {
-		x.Data[i] = float32(i) + 0.5
-	}
-	c := x.Clone()
-	c.Data[0] = -1
-	if x.Data[0] == -1 {
-		t.Fatal("Clone aliases the original buffer")
-	}
-	r := x.Reshape(3, 2)
-	r.Data[0] = 42
-	if x.Data[0] != 42 {
-		t.Fatal("Reshape must alias the buffer")
-	}
-	y := New32(2, 3)
-	y.CopyFrom(x)
-	for i := range y.Data {
-		if y.Data[i] != x.Data[i] {
-			t.Fatalf("CopyFrom cell %d: %v != %v", i, y.Data[i], x.Data[i])
-		}
-	}
-	y.Zero()
-	for i := range y.Data {
-		if y.Data[i] != 0 {
-			t.Fatal("Zero left non-zero cells")
-		}
-	}
-	if got := FromSlice32([]float32{1, 2, 3, 4}, 2, 2); got.Data[3] != 4 {
-		t.Fatal("FromSlice32 lost data")
-	}
-}
-
-// TestT32RoundTripExact pins the property the nn float32 backend's
-// boundary conversions rely on: float32→float64→float32 reproduces the
-// original bits for every value, including negative zero and denormals.
-func TestT32RoundTripExact(t *testing.T) {
-	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1.5, 3.1415927,
-		math.MaxFloat32, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40}
-	src := FromSlice32(append([]float32(nil), vals...), len(vals))
-	wide := New(len(vals))
-	back := New32(len(vals))
-	src.To64(wide)
-	back.From64(wide)
-	for i := range vals {
-		if math.Float32bits(back.Data[i]) != math.Float32bits(vals[i]) {
-			t.Fatalf("value %v did not survive the round trip (got %v)", vals[i], back.Data[i])
-		}
-	}
-}
-
-func TestArena32Reuse(t *testing.T) {
-	var a Arena32
-	x := a.Get("x", 4, 5)
-	x.Data[0] = 7
-	if y := a.Get("x", 4, 5); y != x {
-		t.Fatal("same slot+shape must return the same buffer")
-	}
-	if y := a.Get("x", 5, 4); y == x {
-		t.Fatal("different shape must not alias")
-	}
-	if y := a.Get("y", 4, 5); y == x {
-		t.Fatal("different slot must not alias")
-	}
-	if y := a.GetIndexed("x", 1, 4, 5); y == x {
-		t.Fatal("indexed lookup must not alias the unindexed slot")
-	}
-	if y := a.GetLike("x", x); y != x {
-		t.Fatal("GetLike must hit the same buffer")
-	}
-	t64 := New(4, 5)
-	if y := a.GetLike64("x", t64); y != x {
-		t.Fatal("GetLike64 must hit the same buffer for the same shape")
-	}
-	a.Reset()
-	if y := a.Get("x", 4, 5); y == x || y.Data[0] != 0 {
-		t.Fatal("Reset must drop cached buffers")
 	}
 }

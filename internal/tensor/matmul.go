@@ -54,8 +54,8 @@ func checkMatMul(a, b *Tensor) (m, k, n int) {
 // matmulInto accumulates a (m×k) times b (k×n) into dst (m×n). dst must be
 // zeroed by the caller (New returns zeroed storage). Large products are
 // split over contiguous row blocks; each block runs the identical tiled
-// kernel, so the parallel result matches the serial one bit for bit. Both
-// precisions dispatch through this one body.
+// kernel, so the parallel result matches the serial one bit for bit. It is
+// generic only so FuzzMatMulTiled can drive its float32 leg through it.
 func matmulInto[E Elem](dst, a, b []E, m, k, n int) {
 	if parallelRows(m, m*k*n) {
 		parallel.ForBlocks(m, func(lo, hi int) {
