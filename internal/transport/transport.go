@@ -126,6 +126,10 @@ type ClientServer struct {
 	part participant
 	// template provides the model architecture for report requests.
 	template *nn.Sequential
+	// numParams is the template's parameter count, computed once: the
+	// template's lazily filled parameter cache must not be touched by
+	// concurrent handlers.
+	numParams int
 	// maxBody bounds request bodies so a malicious or corrupted peer
 	// cannot make the decoder allocate unboundedly.
 	maxBody int64
@@ -149,12 +153,14 @@ type ClientServer struct {
 // implement the defense reporting interfaces). template provides the model
 // architecture and is cloned per request model reconstruction.
 func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
+	n := template.NumParams()
 	return &ClientServer{
-		part:     part,
-		template: template.Clone(),
+		part:      part,
+		template:  template.Clone(),
+		numParams: n,
 		// A parameter vector gob-encodes to at most ~9 bytes per float64;
 		// 16x plus slack accommodates every legitimate request.
-		maxBody: int64(template.NumParams())*16 + 1<<16,
+		maxBody: int64(n)*16 + 1<<16,
 	}
 }
 
@@ -235,9 +241,9 @@ func (cs *ClientServer) modelFor(global []float64) *nn.Sequential {
 // architecture; without this a malformed-but-valid-gob body would panic
 // SetParamsVector inside the handler.
 func (cs *ClientServer) checkGlobal(w http.ResponseWriter, global []float64) bool {
-	if len(global) != cs.template.NumParams() {
+	if len(global) != cs.numParams {
 		http.Error(w, fmt.Sprintf("bad request: %d params, want %d",
-			len(global), cs.template.NumParams()), http.StatusBadRequest)
+			len(global), cs.numParams), http.StatusBadRequest)
 		return false
 	}
 	return true

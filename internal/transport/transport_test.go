@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -263,6 +267,35 @@ func TestClientServerRejectsGet(t *testing.T) {
 	}
 	if resp != 405 {
 		t.Fatalf("GET returned %d, want 405", resp)
+	}
+}
+
+// TestClientServerConcurrentParamChecks sends concurrent wrong-length
+// updates to a fresh ClientServer. Every handler checks the parameter
+// count; that check must not fill the template's lazy parameter cache
+// from several goroutines at once, which -race reports as a data race.
+func TestClientServerConcurrentParamChecks(t *testing.T) {
+	h, n := fuzzHandler()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(UpdateRequest{Global: make([]float64, n+1), Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body.Bytes())))
+			codes[i] = rec.Code
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusBadRequest {
+			t.Errorf("request %d: status %d, want %d", i, code, http.StatusBadRequest)
+		}
 	}
 }
 
