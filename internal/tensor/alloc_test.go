@@ -12,8 +12,10 @@ import (
 // TestMatMulIntoKernelsAllocFree is the allocation-regression gate for the
 // in-place matmul family: with a single worker (the serial kernels; the
 // parallel path inherently allocates its goroutines) and pre-sized
-// destinations, a call performs zero heap allocations. Guarded by !race
-// because race instrumentation adds allocations of its own.
+// destinations, a call performs zero heap allocations on the pure-Go and
+// the AVX2 path alike (TransB's packed strip must stay on the stack).
+// Guarded by !race because race instrumentation adds allocations of its
+// own.
 func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -26,16 +28,20 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	aT := randMat(rng, k, m)
 	dst := New(m, n)
 
-	for _, tc := range []struct {
-		name string
-		f    func()
-	}{
-		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
-		{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bT) }},
-		{"MatMulTransAInto", func() { MatMulTransAInto(dst, aT, b) }},
-	} {
-		if allocs := testing.AllocsPerRun(20, tc.f); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
+	for _, simd := range kernelPaths() {
+		for _, tc := range []struct {
+			name string
+			f    func()
+		}{
+			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+			{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bT) }},
+			{"MatMulTransAInto", func() { MatMulTransAInto(dst, aT, b) }},
+		} {
+			var allocs float64
+			withKernelPath(simd, func() { allocs = testing.AllocsPerRun(20, tc.f) })
+			if allocs != 0 {
+				t.Errorf("%s (%s): %v allocs/op, want 0", tc.name, pathName(simd), allocs)
+			}
 		}
 	}
 }

@@ -51,15 +51,20 @@ func checkMatMul(a, b *Tensor) (m, k, n int) {
 	return m, k, b.Dim(1)
 }
 
+// quads is the number of 4-row groups covering m rows. The parallel
+// kernels split their rows across workers in whole groups, so every block
+// but the last feeds the 4-row micro-kernel (kernels.go) without a row
+// tail; rows 4·lo to min(4·hi, m) make up block [lo,hi).
+func quads(m int) int { return (m + 3) / 4 }
+
 // matmulInto accumulates a (m×k) times b (k×n) into dst (m×n). dst must be
 // zeroed by the caller (New returns zeroed storage). Large products are
 // split over contiguous row blocks; each block runs the identical tiled
-// kernel, so the parallel result matches the serial one bit for bit. It is
-// generic only so FuzzMatMulTiled can drive its float32 leg through it.
-func matmulInto[E Elem](dst, a, b []E, m, k, n int) {
+// kernel, so the parallel result matches the serial one bit for bit.
+func matmulInto(dst, a, b []float64, m, k, n int) {
 	if parallelRows(m, m*k*n) {
-		parallel.ForBlocks(m, func(lo, hi int) {
-			matmulTiled(dst, a, b, lo, hi, k, n)
+		parallel.ForBlocks(quads(m), func(lo, hi int) {
+			matmulTiled(dst, a, b, 4*lo, min(4*hi, m), k, n)
 		})
 		return
 	}
@@ -89,10 +94,10 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 
 // matmulTransBInto overwrites dst (m×n) with a·bᵀ, row-blocking large
 // products across workers.
-func matmulTransBInto[E Elem](dst, a, b []E, m, k, n int) {
+func matmulTransBInto(dst, a, b []float64, m, k, n int) {
 	if parallelRows(m, m*k*n) {
-		parallel.ForBlocks(m, func(lo, hi int) {
-			matmulTransBTiled(dst, a, b, lo, hi, k, n)
+		parallel.ForBlocks(quads(m), func(lo, hi int) {
+			matmulTransBTiled(dst, a, b, 4*lo, min(4*hi, m), k, n)
 		})
 		return
 	}
@@ -145,10 +150,10 @@ func checkMatMulTransA(a, b *Tensor) (m, k, n int) {
 }
 
 // matmulTransAInto accumulates aᵀ·b into dst, which the caller has zeroed.
-func matmulTransAInto[E Elem](dst, a, b []E, k, m, n int) {
+func matmulTransAInto(dst, a, b []float64, k, m, n int) {
 	if parallelRows(m, m*k*n) {
-		parallel.ForBlocks(m, func(lo, hi int) {
-			matmulTransATiled(dst, a, b, lo, hi, k, m, n)
+		parallel.ForBlocks(quads(m), func(lo, hi int) {
+			matmulTransATiled(dst, a, b, 4*lo, min(4*hi, m), k, m, n)
 		})
 		return
 	}
