@@ -10,10 +10,11 @@ import (
 // TestMatMulTransBIntoMatchesAllocating pins the in-place kernel's
 // bit-identity contract against the allocating variant across shapes large
 // enough to cross the parallel cutoff and worker counts 1, 2 and 8. The
-// destination is pre-filled with garbage: every cell must be overwritten.
+// destination is pre-filled with garbage: every cell must be overwritten,
+// also when k is 0 and the product is all zeros.
 func TestMatMulTransBIntoMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 4}, {64, 96, 80}} {
+	for _, dims := range [][3]int{{1, 1, 1}, {2, 0, 3}, {3, 5, 4}, {64, 96, 80}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randMat(rng, m, k)
 		b := randMat(rng, n, k)
